@@ -187,9 +187,10 @@ let with_trace ?out trace f =
     r
   end
 
-(* Input errors are typed: an empty, malformed or unreadable CSV file ends
-   the run with [exit_bad_input] and one line on stderr, instead of
-   cmdliner's "internal error, uncaught exception" and exit 125. *)
+(* Input errors are typed: an empty, malformed or unreadable CSV file, or
+   one without the join column, ends the run with [exit_bad_input] and
+   one line on stderr, instead of cmdliner's "internal error, uncaught
+   exception" and exit 125. *)
 exception Bad_input of string
 
 let exit_bad_input = 5
@@ -200,18 +201,24 @@ let load_csv path =
   | exception Invalid_argument msg -> raise (Bad_input (path ^ ": " ^ msg))
   | exception Sys_error msg -> raise (Bad_input msg)
 
-let values_of_csv path attr =
+(* The table at [path], checked to have the join attribute [attr]. *)
+let load_with_column path attr =
   let t = load_csv path in
+  if Minidb.Schema.mem (Minidb.Table.schema t) attr then t
+  else raise (Bad_input (Printf.sprintf "%s: no column %S" path attr))
+
+let values_of_csv path attr =
+  let t = load_with_column path attr in
   List.map Minidb.Value.key (Minidb.Table.distinct_values t attr)
 
 let multiset_of_csv path attr =
-  let t = load_csv path in
+  let t = load_with_column path attr in
   List.filter_map
     (fun v -> if v = Minidb.Value.Null then None else Some (Minidb.Value.key v))
     (Minidb.Table.column_values t attr)
 
 let records_of_csv path attr =
-  let t = load_csv path in
+  let t = load_with_column path attr in
   List.filter_map
     (fun row ->
       let v = Minidb.Table.get t row attr in
@@ -366,21 +373,7 @@ let run_intersect group seed jobs buckets spill_dir op csv_s csv_r attr cache de
         (List.length vr);
       report_traffic o.Wire.Runner.total_bytes
   | Op_join ->
-      let t_s = load_csv csv_s in
-      let records =
-        List.filter_map
-          (fun row ->
-            let v = Minidb.Table.get t_s row attr in
-            if v = Minidb.Value.Null then None
-            else begin
-              let payload =
-                String.concat ","
-                  (Array.to_list (Array.map Minidb.Value.to_string row))
-              in
-              Some (Minidb.Value.key v, payload)
-            end)
-          (Minidb.Table.rows t_s)
-      in
+      let records = records_of_csv csv_s attr in
       let vr = values_of_csv csv_r attr in
       let o = Psi.Equijoin.run cfg ~seed ~sender_records:records ~receiver_values:vr () in
       let r = o.Wire.Runner.receiver_result in
@@ -1003,7 +996,7 @@ let main_cmd =
        ~doc:"Information sharing across private databases (SIGMOD 2003 protocols)"
        ~exits:
          (Cmd.Exit.info exit_bad_input
-            ~doc:"an input CSV file is empty, malformed or unreadable."
+            ~doc:"an input CSV file is empty, malformed or unreadable, or lacks the join column."
          :: Cmd.Exit.defaults))
     [
       intersect_cmd; net_cmd; service_cmd; gen_medical_cmd; medical_cmd; estimate_cmd;

@@ -24,13 +24,21 @@
 
     {2 Durability}
 
-    [flush] writes [<dir>/ecache.psi]: a versioned magic header followed
-    by length-prefixed entries, each carrying a truncated-SHA-256
-    checksum. Loading is forgiving by design: a stale version means
-    every lookup misses, a corrupt entry is skipped, and a truncated
-    file loads up to the damage — a damaged cache degrades to recompute,
-    it {e never} serves a wrong value. Files are replaced atomically
-    (write to a temp file, then rename).
+    [flush] writes [<dir>/ecache.psi]: a magic header with format
+    version 2, followed by length-prefixed entries, each carrying an
+    8-byte FNV-1a-64 checksum of its body ({!Wire.Fnv64}). The checksum
+    is unkeyed: it catches accidental damage (every single-byte change
+    with certainty), not tampering — whoever can write the file can
+    recompute any checksum. Loading is forgiving by design: a stale
+    version (a version-1 file included) means every lookup misses once
+    and the next flush rewrites the file at version 2, a corrupt entry
+    is skipped, and a truncated file or an implausible length prefix
+    ends the load at the damage — a damaged cache degrades to
+    recompute, it {e never} serves a wrong value. Load and flush stream
+    one frame at a time through buffered channels, bounding each length
+    prefix before allocating its body, so neither holds a second copy
+    of the store. Files are replaced atomically (write to a temp file,
+    then rename).
 
     {2 Concurrency}
 

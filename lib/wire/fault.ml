@@ -37,15 +37,8 @@ let m_delays = Obs.Metrics.counter "wire.fault.delays"
 module Stream = struct
   type t = { mutable state : int64 }
 
-  (* FNV-1a 64-bit over the seed string gives the initial state. *)
-  let of_seed seed =
-    let h = ref 0xcbf29ce484222325L in
-    String.iter
-      (fun c ->
-        h := Int64.logxor !h (Int64.of_int (Char.code c));
-        h := Int64.mul !h 0x100000001b3L)
-      seed;
-    { state = !h }
+  (* FNV-1a-64 of the seed string gives the initial state. *)
+  let of_seed seed = { state = Fnv64.string seed }
 
   let next t =
     t.state <- Int64.add t.state 0x9e3779b97f4a7c15L;

@@ -14,23 +14,13 @@ type entry = {
 
 type t = { run_id : int; entries : entry list }
 
-(* FNV-1a 64 over the header+body (same non-cryptographic family as
-   Fault.Stream — wire cannot depend on the crypto library, and this
-   only guards against accidental damage, not an adversary: the file
-   lives on the party's own disk). *)
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
+(* FNV-1a-64 over the header+body: wire cannot depend on the crypto
+   library, and this only guards against accidental damage, not an
+   adversary (the file lives on the party's own disk). *)
 let checksum_string payload =
-  let h = fnv64 payload in
-  String.init checksum_bytes (fun i ->
-      Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical h (8 * (7 - i))) 0xFFL)))
+  let b = Bytes.create checksum_bytes in
+  Bytes.set_int64_be b 0 (Fnv64.string payload);
+  Bytes.to_string b
 
 let write_list w xs =
   Buf.write_varint w (List.length xs);

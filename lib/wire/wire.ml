@@ -6,6 +6,7 @@ exception Timeout = Errors.Timeout
 
 module Errors = Errors
 module Buf = Buf
+module Fnv64 = Fnv64
 module Message = Message
 module Transport = Transport
 module Fault = Fault

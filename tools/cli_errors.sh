@@ -1,7 +1,8 @@
 #!/bin/sh
-# psi_demo input errors are typed: a malformed CSV header and an empty
-# input file must each exit with the documented code 5 and print exactly
-# one line on stderr (no "internal error", no backtrace).
+# psi_demo input errors are typed: a malformed CSV header, an empty
+# input file and an --attr naming no column must each exit with the
+# documented code 5 and print exactly one line on stderr (no "internal
+# error", no backtrace).
 #
 # Usage: cli_errors.sh path/to/psi_demo.exe
 set -eu
@@ -41,3 +42,5 @@ expect_bad_input "malformed header" intersect --group test64 --attr email \
   --csv-s "$dir/bad_header.csv" --csv-r "$dir/ok.csv"
 expect_bad_input "empty input file" intersect --group test64 --attr email \
   --csv-s "$dir/ok.csv" --csv-r "$dir/empty.csv"
+expect_bad_input "unknown --attr column" intersect --group test64 --attr phone \
+  --csv-s "$dir/ok.csv" --csv-r "$dir/ok.csv"
